@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
@@ -226,6 +226,15 @@ class FaultParams:
             raise ConfigError("response_cache_size must be >= 8")
 
 
+def _fields_dict(params) -> dict:
+    """Field name -> value, recursing into nested parameter groups."""
+    out = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        out[f.name] = _fields_dict(value) if is_dataclass(value) else value
+    return out
+
+
 @dataclass(frozen=True)
 class MachineParams:
     """Complete description of a simulated machine."""
@@ -276,8 +285,12 @@ class MachineParams:
 
     def to_dict(self) -> dict:
         """JSON-ready nested dict of every parameter (recurses into the
-        sub-parameter dataclasses; ``msa`` becomes ``None`` when absent)."""
-        return asdict(self)
+        sub-parameter dataclasses; ``msa`` becomes ``None`` when absent).
+
+        Equal to ``dataclasses.asdict(self)`` without its deep copy: the
+        parameter groups are frozen and hold only scalars, and the cache
+        key of every grid point hashes this dict."""
+        return _fields_dict(self)
 
     def with_overrides(self, overrides: Dict[str, object]) -> "MachineParams":
         """Apply a mapping of field overrides, including dotted paths.

@@ -22,9 +22,10 @@ substrate they now share:
   resumes from the manifest -- a truncated trailing line from a
   mid-append kill is repaired in place -- and only runs what is missing.
 * :class:`Engine` orchestrates.  With a cache directory it layers a
-  durable :class:`repro.resilience.store.JobStore` next to the cache
-  and every execution path (serial or a supervised worker pool) claims
-  points through expiring leases: workers heartbeat while simulating,
+  durable :class:`repro.resilience.store.JobStore` next to the cache,
+  opened on the first cache miss (hits only read the cache), and every
+  execution path (serial or a supervised worker pool) claims points
+  through expiring leases: workers heartbeat while simulating,
   dead workers' points are reclaimed and retried elsewhere with seeded
   exponential backoff, and a point that keeps failing is quarantined
   with its traceback instead of starving the sweep.  Without a cache it
@@ -603,11 +604,14 @@ class Engine:
 
     With a cache directory, execution runs through the durable
     :class:`repro.resilience.store.JobStore` living at
-    ``<cache_dir>/jobs.sqlite3``: points are claimed via expiring
-    leases (``lease_s``), failed attempts back off with deterministic
-    seeded jitter (``seed``), a point failing ``retries + 1`` times is
-    quarantined with its traceback, and ``point_timeout_s`` arms a
-    per-point :class:`repro.resilience.watchdog.Watchdog`.  Several
+    ``<cache_dir>/jobs.sqlite3``, which the engine opens on the first
+    cache miss -- a run served entirely from the cache never touches
+    it (:meth:`resilience_counters` opens it on demand).  Points are
+    claimed via expiring leases (``lease_s``), failed attempts back off
+    with deterministic seeded jitter (``seed``), a point failing
+    ``retries + 1`` times is quarantined with its traceback, and
+    ``point_timeout_s`` arms a per-point
+    :class:`repro.resilience.watchdog.Watchdog`.  Several
     engines -- across processes or hosts sharing the cache directory --
     can run the same grid concurrently and split the work.  ``chaos``
     (a :class:`repro.resilience.supervise.ChaosPlan`) is the harness
@@ -640,23 +644,7 @@ class Engine:
         self.stats = EngineStats()
         self.pool_stats: Dict[str, int] = {}
         self.store = None
-        if self.cache is not None:
-            try:
-                from repro.resilience.store import (
-                    JobStore,
-                    default_store_path,
-                )
-
-                self.store = JobStore(
-                    default_store_path(self.cache.root),
-                    lease_s=lease_s,
-                    quarantine_after=retries + 1,
-                )
-            except Exception:
-                # A read-only cache mount (or a hostile sqlite build)
-                # must not take caching down with it; the legacy
-                # in-memory paths still work.
-                self.store = None
+        """The job store, once :meth:`_open_store` has opened it."""
 
     # -- public API ----------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
@@ -682,7 +670,7 @@ class Engine:
                 pending.append((index, spec, key))
 
         if pending:
-            if self.store is not None:
+            if self._open_store() is not None:
                 self._run_supervised(pending, results, reporter)
             elif self.workers > 1 and len(pending) > 1:
                 self._run_parallel(pending, results, reporter)
@@ -697,7 +685,7 @@ class Engine:
         job-store lifetime transitions plus cache hit/miss/corrupt
         totals (empty when the engine runs without a cache)."""
         out: Dict[str, int] = {}
-        if self.store is not None:
+        if self._open_store() is not None:
             out.update(self.store.counters())
         if self.cache is not None:
             out["cache_hits"] = self.cache.hits
@@ -706,6 +694,28 @@ class Engine:
         for name, value in self.pool_stats.items():
             out[f"pool_{name}"] = value
         return out
+
+    def _open_store(self):
+        """Open the job store on first use: a run served entirely from
+        the cache never touches SQLite.  ``None`` without a cache."""
+        if self.store is None and self.cache is not None:
+            try:
+                from repro.resilience.store import (
+                    JobStore,
+                    default_store_path,
+                )
+
+                self.store = JobStore(
+                    default_store_path(self.cache.root),
+                    lease_s=self.lease_s,
+                    quarantine_after=self.retries + 1,
+                )
+            except Exception:
+                # A read-only cache mount (or a hostile sqlite build)
+                # must not take caching down with it; the legacy
+                # in-memory paths still work.
+                self.store = None
+        return self.store
 
     # -- cache/manifest plumbing ---------------------------------------
     def _from_cache(self, spec: JobSpec, key: str) -> Optional[JobResult]:
@@ -877,6 +887,7 @@ class Engine:
                     result = execute_spec(spec)
                     self.cache.put(key, spec, result)
                     store.mark_done(key)
+                    row = store.get(key)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
             if result is not None:
@@ -884,7 +895,7 @@ class Engine:
                 error = None
             else:
                 self.stats.failed += 1
-            on_terminal(key, store.get(key))
+            on_terminal(key, row)
             results[index] = JobResult(
                 spec=spec,
                 key=key,

@@ -222,7 +222,7 @@ def _scan_store(root: Path, report: FsckReport, repair: bool) -> None:
     try:
         store = JobStore(path)
         try:
-            expired = store.reclaim_expired() if repair else _count_expired(store)
+            expired = store.reclaim_expired() if repair else store.expired_leases()
         finally:
             store.close()
     except Exception as exc:
@@ -239,17 +239,6 @@ def _scan_store(root: Path, report: FsckReport, repair: bool) -> None:
                 repaired=repair,
             )
         )
-
-
-def _count_expired(store) -> int:
-    now = store.clock()
-    return sum(
-        1
-        for row in store.rows()
-        if row.status == "leased"
-        and row.lease_expires is not None
-        and row.lease_expires <= now
-    )
 
 
 __all__ = ["ISSUE_KINDS", "FsckIssue", "FsckReport", "fsck"]

@@ -22,16 +22,20 @@ expiring leases:
 Statuses: ``pending`` -> ``leased`` -> ``done`` | ``quarantined``
 (quarantined rows are reset to ``pending`` when a new engine run
 explicitly re-enqueues them).  All transitions bump the store's
-lifetime counters (:meth:`JobStore.counters`), which the harness
-exports through :class:`repro.obs.MetricsRegistry`.
+lifetime counters (:meth:`JobStore.counters`) inside the same
+``BEGIN IMMEDIATE`` transaction as the row change, so the counters and
+the rows never disagree; the harness exports them through
+:class:`repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import socket
 import sqlite3
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
@@ -42,6 +46,18 @@ STORE_SCHEMA_VERSION = 1
 
 #: Terminal row statuses (nothing left to execute for this row).
 TERMINAL = ("done", "quarantined")
+
+#: Open row statuses (still to execute, or executing).
+OPEN = ("pending", "leased")
+
+#: Keys per ``WHERE key IN (...)`` query, well under SQLite's host
+#: parameter limit (999 on older builds).
+_KEY_CHUNK = 500
+
+_ROW_COLUMNS = (
+    "key, describe, status, attempts, lease_owner, lease_expires,"
+    " not_before, host, pid, error, created, updated"
+)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -146,10 +162,14 @@ class JobStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._db = self._connect()
 
-    def _connect(self) -> sqlite3.Connection:
+    def _open(self) -> sqlite3.Connection:
         db = sqlite3.connect(str(self.path), timeout=30.0)
         db.isolation_level = None  # explicit BEGIN/COMMIT
         db.execute("PRAGMA busy_timeout=30000")
+        return db
+
+    def _connect(self) -> sqlite3.Connection:
+        db = self._open()
         try:
             db.executescript(_SCHEMA)
             row = db.execute(
@@ -170,9 +190,7 @@ class JobStore:
             # ledger is evicted, never fatal.
             db.close()
             self.path.unlink(missing_ok=True)
-            db = sqlite3.connect(str(self.path), timeout=30.0)
-            db.isolation_level = None
-            db.execute("PRAGMA busy_timeout=30000")
+            db = self._open()
             db.executescript(_SCHEMA)
             db.execute(
                 "INSERT OR IGNORE INTO meta VALUES ('schema', ?)",
@@ -180,8 +198,31 @@ class JobStore:
             )
         return db
 
+    def sibling(self) -> "JobStore":
+        """A second handle on this store with its own connection.
+
+        SQLite connections belong to the thread that opened them, so a
+        helper thread (the heartbeat beater) needs its own.  The schema
+        is already in place; the sibling only connects."""
+        twin = copy.copy(self)
+        twin._db = self._open()
+        return twin
+
     def close(self) -> None:
         self._db.close()
+
+    @contextmanager
+    def _transaction(self):
+        """One ``BEGIN IMMEDIATE ... COMMIT``: a transition's row change
+        and its counter bump land together or not at all."""
+        db = self._db
+        db.execute("BEGIN IMMEDIATE")
+        try:
+            yield db
+        except BaseException:
+            db.execute("ROLLBACK")
+            raise
+        db.execute("COMMIT")
 
     # ------------------------------------------------------------------
     # Enqueue
@@ -201,9 +242,7 @@ class JobStore:
         rows are left untouched.
         """
         now = self.clock()
-        db = self._db
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as db:
             row = db.execute(
                 "SELECT status FROM jobs WHERE key=?", (key,)
             ).fetchone()
@@ -214,32 +253,27 @@ class JobStore:
                     (key, describe, spec_blob, now, now),
                 )
                 self._bump("enqueued")
-                status = "pending"
-            else:
-                status = row[0]
-                if status == "quarantined" and requeue_failed:
-                    # A fresh retry budget comes with the explicit
-                    # re-enqueue; lifetime attempt history stays in the
-                    # counters.
-                    db.execute(
-                        "UPDATE jobs SET status='pending', not_before=0,"
-                        " attempts=0, error=NULL,"
-                        " spec_blob=COALESCE(?, spec_blob),"
-                        " updated=? WHERE key=?",
-                        (spec_blob, now, key),
-                    )
-                    self._bump("requeued")
-                    status = "pending"
-                elif spec_blob is not None:
-                    db.execute(
-                        "UPDATE jobs SET spec_blob=?, updated=? WHERE key=?",
-                        (spec_blob, now, key),
-                    )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return status
+                return "pending"
+            status = row[0]
+            if status == "quarantined" and requeue_failed:
+                # A fresh retry budget comes with the explicit
+                # re-enqueue; lifetime attempt history stays in the
+                # counters.
+                db.execute(
+                    "UPDATE jobs SET status='pending', not_before=0,"
+                    " attempts=0, error=NULL,"
+                    " spec_blob=COALESCE(?, spec_blob),"
+                    " updated=? WHERE key=?",
+                    (spec_blob, now, key),
+                )
+                self._bump("requeued")
+                return "pending"
+            if spec_blob is not None:
+                db.execute(
+                    "UPDATE jobs SET spec_blob=?, updated=? WHERE key=?",
+                    (spec_blob, now, key),
+                )
+            return status
 
     def requeue(self, key: str) -> bool:
         """Force a terminal row (``done`` or ``quarantined``) back to
@@ -248,14 +282,15 @@ class JobStore:
         (e.g. by ``fsck`` after corruption) -- the row's claim of
         completion is only as good as the bytes backing it."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET status='pending', attempts=0, error=NULL,"
-            " not_before=0, lease_owner=NULL, lease_expires=NULL,"
-            " updated=? WHERE key=? AND status IN ('done', 'quarantined')",
-            (now, key),
-        )
-        if cur.rowcount:
-            self._bump("requeued", commit=True)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET status='pending', attempts=0, error=NULL,"
+                " not_before=0, lease_owner=NULL, lease_expires=NULL,"
+                " updated=? WHERE key=? AND status IN ('done', 'quarantined')",
+                (now, key),
+            )
+            if cur.rowcount:
+                self._bump("requeued")
         return bool(cur.rowcount)
 
     # ------------------------------------------------------------------
@@ -268,54 +303,59 @@ class JobStore:
     ) -> Optional[Claim]:
         """Lease one eligible job: ``pending`` past its backoff deadline,
         or ``leased`` with an expired lease (the previous worker died).
-        Returns ``None`` when nothing is claimable right now."""
+        Among ``keys`` (all rows when ``None``), the oldest eligible row
+        wins.  Returns ``None`` when nothing is claimable right now."""
         now = self.clock()
-        keyset = None if keys is None else set(keys)
-        db = self._db
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            rows = db.execute(
-                "SELECT key, describe, spec_blob, attempts, status"
-                " FROM jobs WHERE (status='pending' AND not_before<=?)"
-                " OR (status='leased' AND lease_expires<=?)"
-                " ORDER BY created, key",
-                (now, now),
-            ).fetchall()
-            for key, describe, blob, attempts, status in rows:
-                if keyset is not None and key not in keyset:
-                    continue
-                reclaimed = status == "leased"
-                db.execute(
-                    "UPDATE jobs SET status='leased', lease_owner=?,"
-                    " lease_expires=?, attempts=?, host=?, pid=?, updated=?"
-                    " WHERE key=?",
-                    (
-                        owner,
-                        now + self.lease_s,
-                        attempts + 1,
-                        socket.gethostname(),
-                        os.getpid(),
-                        now,
-                        key,
-                    ),
-                )
-                self._bump("leases_granted")
-                if reclaimed:
-                    self._bump("leases_expired")
-                db.execute("COMMIT")
-                return Claim(
-                    key=key,
-                    describe=describe,
-                    spec_blob=blob,
-                    attempt=attempts + 1,
-                    owner=owner,
-                    reclaimed=reclaimed,
-                )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return None
+        eligible = (
+            "SELECT created, key, describe, spec_blob, attempts, status"
+            " FROM jobs WHERE ((status='pending' AND not_before<=?)"
+            " OR (status='leased' AND lease_expires<=?))"
+        )
+        with self._transaction() as db:
+            if keys is None:
+                best = db.execute(
+                    eligible + " ORDER BY created, key LIMIT 1", (now, now)
+                ).fetchone()
+            else:
+                candidates = [
+                    db.execute(
+                        f"{eligible} AND key IN ({_marks(chunk)})"
+                        " ORDER BY created, key LIMIT 1",
+                        (now, now, *chunk),
+                    ).fetchone()
+                    for chunk in _chunks(keys)
+                ]
+                candidates = [c for c in candidates if c is not None]
+                best = min(candidates) if candidates else None
+            if best is None:
+                return None
+            _created, key, describe, blob, attempts, status = best
+            reclaimed = status == "leased"
+            db.execute(
+                "UPDATE jobs SET status='leased', lease_owner=?,"
+                " lease_expires=?, attempts=?, host=?, pid=?, updated=?"
+                " WHERE key=?",
+                (
+                    owner,
+                    now + self.lease_s,
+                    attempts + 1,
+                    socket.gethostname(),
+                    os.getpid(),
+                    now,
+                    key,
+                ),
+            )
+            self._bump("leases_granted")
+            if reclaimed:
+                self._bump("leases_expired")
+        return Claim(
+            key=key,
+            describe=describe,
+            spec_blob=blob,
+            attempt=attempts + 1,
+            owner=owner,
+            reclaimed=reclaimed,
+        )
 
     def claim_key(self, key: str, owner: str) -> Optional[Claim]:
         """Lease one specific job (serial execution path)."""
@@ -325,13 +365,14 @@ class JobStore:
         """Extend the lease on a job this owner holds; returns False if
         the lease was lost (expired and reclaimed by someone else)."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET lease_expires=?, updated=? WHERE key=?"
-            " AND status='leased' AND lease_owner=?",
-            (now + self.lease_s, now, key, owner),
-        )
-        if cur.rowcount:
-            self._bump("heartbeats", commit=True)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET lease_expires=?, updated=? WHERE key=?"
+                " AND status='leased' AND lease_owner=?",
+                (now + self.lease_s, now, key, owner),
+            )
+            if cur.rowcount:
+                self._bump("heartbeats")
         return bool(cur.rowcount)
 
     # ------------------------------------------------------------------
@@ -343,23 +384,20 @@ class JobStore:
         hung worker whose job was reclaimed and finished elsewhere must
         not overwrite the fresher outcome."""
         now = self.clock()
-        if owner is None:
-            cur = self._db.execute(
-                "UPDATE jobs SET status='done', error=NULL, lease_owner=NULL,"
-                " lease_expires=NULL, updated=? WHERE key=?",
-                (now, key),
-            )
-        else:
-            cur = self._db.execute(
-                "UPDATE jobs SET status='done', error=NULL, lease_owner=NULL,"
-                " lease_expires=NULL, updated=? WHERE key=?"
-                " AND status='leased' AND lease_owner=?",
-                (now, key, owner),
-            )
-        if cur.rowcount:
-            self._bump("done", commit=True)
-        elif owner is not None:
-            self._bump("stale_completions", commit=True)
+        sql = (
+            "UPDATE jobs SET status='done', error=NULL, lease_owner=NULL,"
+            " lease_expires=NULL, updated=? WHERE key=?"
+        )
+        args: tuple = (now, key)
+        if owner is not None:
+            sql += " AND status='leased' AND lease_owner=?"
+            args += (owner,)
+        with self._transaction() as db:
+            cur = db.execute(sql, args)
+            if cur.rowcount:
+                self._bump("done")
+            elif owner is not None:
+                self._bump("stale_completions")
         return bool(cur.rowcount)
 
     def mark_failed(
@@ -379,22 +417,18 @@ class JobStore:
         rejected with status ``stale``.
         """
         now = self.clock()
-        db = self._db
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as db:
             row = db.execute(
                 "SELECT attempts, status, lease_owner FROM jobs WHERE key=?",
                 (key,),
             ).fetchone()
             if row is None:
-                db.execute("COMMIT")
                 return "missing"
             attempts, status, lease_owner = row
             if owner is not None and (
                 status != "leased" or lease_owner != owner
             ):
                 self._bump("stale_completions")
-                db.execute("COMMIT")
                 return "stale"
             if attempts >= self.quarantine_after:
                 db.execute(
@@ -414,10 +448,6 @@ class JobStore:
                 )
                 self._bump("retries")
                 new_status = "pending"
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
         if new_status == "quarantined" and traceback_text is not None:
             self._write_quarantine_artifact(key, error, traceback_text)
         return new_status
@@ -444,28 +474,30 @@ class JobStore:
         """Expire every lease held by ``owner`` *now* (the supervisor
         observed its worker die; no need to wait out the lease)."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET status='pending', lease_owner=NULL,"
-            " lease_expires=NULL, updated=? WHERE status='leased'"
-            " AND lease_owner=?",
-            (now, owner),
-        )
-        if cur.rowcount:
-            self._bump("leases_released", commit=True, n=cur.rowcount)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET status='pending', lease_owner=NULL,"
+                " lease_expires=NULL, updated=? WHERE status='leased'"
+                " AND lease_owner=?",
+                (now, owner),
+            )
+            if cur.rowcount:
+                self._bump("leases_released", n=cur.rowcount)
         return cur.rowcount
 
     def reclaim_expired(self) -> int:
         """Return expired leases to ``pending`` (normally claims do this
         lazily; fsck and supervisors may sweep eagerly)."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET status='pending', lease_owner=NULL,"
-            " lease_expires=NULL, updated=? WHERE status='leased'"
-            " AND lease_expires<=?",
-            (now, now),
-        )
-        if cur.rowcount:
-            self._bump("leases_expired", commit=True, n=cur.rowcount)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET status='pending', lease_owner=NULL,"
+                " lease_expires=NULL, updated=? WHERE status='leased'"
+                " AND lease_expires<=?",
+                (now, now),
+            )
+            if cur.rowcount:
+                self._bump("leases_expired", n=cur.rowcount)
         return cur.rowcount
 
     # ------------------------------------------------------------------
@@ -473,33 +505,75 @@ class JobStore:
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[JobRow]:
         row = self._db.execute(
-            "SELECT key, describe, status, attempts, lease_owner,"
-            " lease_expires, not_before, host, pid, error, created, updated"
-            " FROM jobs WHERE key=?",
-            (key,),
+            f"SELECT {_ROW_COLUMNS} FROM jobs WHERE key=?", (key,)
         ).fetchone()
         return JobRow(*row) if row else None
 
     def rows(self, keys: Optional[Sequence[str]] = None) -> List[JobRow]:
+        """Rows in ``(created, key)`` order: all of them, or just those
+        of ``keys`` (looked up by key, never by scanning the table)."""
+        if keys is None:
+            return [
+                JobRow(*row)
+                for row in self._db.execute(
+                    f"SELECT {_ROW_COLUMNS} FROM jobs ORDER BY created, key"
+                )
+            ]
         out = [
             JobRow(*row)
+            for chunk in _chunks(keys)
             for row in self._db.execute(
-                "SELECT key, describe, status, attempts, lease_owner,"
-                " lease_expires, not_before, host, pid, error, created,"
-                " updated FROM jobs ORDER BY created, key"
+                f"SELECT {_ROW_COLUMNS} FROM jobs"
+                f" WHERE key IN ({_marks(chunk)})",
+                chunk,
             )
         ]
-        if keys is not None:
-            keyset = set(keys)
-            out = [r for r in out if r.key in keyset]
+        out.sort(key=lambda r: (r.created, r.key))
         return out
 
     def statuses(self, keys: Optional[Sequence[str]] = None) -> Dict[str, str]:
-        return {row.key: row.status for row in self.rows(keys)}
+        if keys is None:
+            return dict(self._db.execute("SELECT key, status FROM jobs"))
+        return {
+            key: status
+            for chunk in _chunks(keys)
+            for key, status in self._db.execute(
+                f"SELECT key, status FROM jobs WHERE key IN ({_marks(chunk)})",
+                chunk,
+            )
+        }
 
     def open_jobs(self, keys: Optional[Sequence[str]] = None) -> int:
         """Jobs not yet terminal (pending or leased) among ``keys``."""
-        return sum(1 for r in self.rows(keys) if not r.terminal)
+        sql = "SELECT COUNT(*) FROM jobs WHERE status IN (?, ?)"
+        if keys is None:
+            return self._db.execute(sql, OPEN).fetchone()[0]
+        return sum(
+            self._db.execute(
+                f"{sql} AND key IN ({_marks(chunk)})", (*OPEN, *chunk)
+            ).fetchone()[0]
+            for chunk in _chunks(keys)
+        )
+
+    def open_keys(self, limit: int) -> List[str]:
+        """The ``limit`` oldest open jobs' keys, through the status
+        index."""
+        return [
+            key
+            for (key,) in self._db.execute(
+                "SELECT key FROM jobs WHERE status IN (?, ?)"
+                " ORDER BY created, key LIMIT ?",
+                (*OPEN, limit),
+            )
+        ]
+
+    def expired_leases(self) -> int:
+        """Leases past their expiry that no claim has reclaimed yet."""
+        return self._db.execute(
+            "SELECT COUNT(*) FROM jobs WHERE status='leased'"
+            " AND lease_expires<=?",
+            (self.clock(),),
+        ).fetchone()[0]
 
     def counters(self) -> Dict[str, int]:
         """Lifetime transition counters plus current per-status totals."""
@@ -513,15 +587,25 @@ class JobStore:
         return out
 
     # ------------------------------------------------------------------
-    def _bump(self, name: str, commit: bool = False, n: int = 1) -> None:
+    def _bump(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to a lifetime counter, inside the caller's
+        transaction."""
         self._db.execute(
             "INSERT INTO counters (name, value) VALUES (?, ?)"
             " ON CONFLICT(name) DO UPDATE SET value=value+?",
             (name, n, n),
         )
-        # Inside an explicit BEGIN IMMEDIATE the caller commits; bare
-        # calls run in autocommit, nothing to do.
-        _ = commit
+
+
+def _chunks(keys: Iterable[str]) -> Iterable[List[str]]:
+    """Distinct ``keys`` in order, cut into query-sized lists."""
+    keys = list(dict.fromkeys(keys))
+    for start in range(0, len(keys), _KEY_CHUNK):
+        yield keys[start:start + _KEY_CHUNK]
+
+
+def _marks(chunk: Sequence[str]) -> str:
+    return ",".join("?" * len(chunk))
 
 
 def default_store_path(cache_dir) -> Path:

@@ -153,6 +153,8 @@ class WorkerLoop:
         self.heartbeats = heartbeats
         self.on_complete = on_complete
         self.executed = 0
+        self.settled: set = set()
+        """Keys this loop brought to a terminal status."""
 
     # ------------------------------------------------------------------
     def _spec_for(self, claim: Claim):
@@ -196,7 +198,7 @@ class WorkerLoop:
             result = self._execute(spec)
             self.cache.put(claim.key, spec, result)
         except Exception as exc:
-            self.store.mark_failed(
+            status = self.store.mark_failed(
                 claim.key,
                 self.owner,
                 f"{type(exc).__name__}: {exc}",
@@ -209,9 +211,12 @@ class WorkerLoop:
                     seed=self.seed,
                 ),
             )
+            if status == "quarantined":
+                self.settled.add(claim.key)
         else:
             self.executed += 1
-            self.store.mark_done(claim.key, self.owner)
+            if self.store.mark_done(claim.key, self.owner):
+                self.settled.add(claim.key)
         finally:
             stop.set()
             if beater is not None:
@@ -221,20 +226,32 @@ class WorkerLoop:
         return claim
 
     def _beat(self, key: str, stop: threading.Event) -> None:
+        # SQLite connections are bound to their thread: the beater opens
+        # its own on the first beat, so a point shorter than one
+        # interval never pays for it.
         interval = max(0.01, self.store.lease_s / HEARTBEAT_DIVISOR)
-        while not stop.wait(interval):
-            try:
-                if not self.store.heartbeat(key, self.owner):
+        store = None
+        try:
+            while not stop.wait(interval):
+                if store is None:
+                    store = self.store.sibling()
+                if not store.heartbeat(key, self.owner):
                     return  # lease lost; stop renewing
-            except Exception:
-                return  # a dying store must not crash the sim thread
+        except Exception:
+            return  # a dying store must not crash the sim thread
+        finally:
+            if store is not None:
+                store.close()
 
     def drain(self, poll_s: float = DEFAULT_POLL_S) -> int:
         """Run until every tracked job is terminal; returns how many
         points this loop executed.  When nothing is claimable but open
         jobs remain (leased to someone else), polls until their leases
-        resolve or expire."""
+        resolve or expire.  A loop that settled every one of its keys
+        itself returns without asking the store again."""
         while True:
+            if self.keys is not None and self.settled.issuperset(self.keys):
+                return self.executed
             if self.run_one() is None:
                 if self.store.open_jobs(self.keys) == 0:
                     return self.executed

@@ -312,11 +312,10 @@ class Server:
         exhausted) drains in-process so points are never stranded."""
         batch_cap = max(8, 4 * self.workers)
         while not self._stop.is_set():
-            open_keys = [r.key for r in store.rows() if not r.terminal]
-            if not open_keys:
+            batch = store.open_keys(limit=batch_cap)
+            if not batch:
                 self._stop.wait(self.poll_s)
                 continue
-            batch = open_keys[:batch_cap]
             pool = WorkerPool(
                 store,
                 cache.root,

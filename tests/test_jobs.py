@@ -9,6 +9,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.params import MachineParams, OMUParams
 from repro.harness.jobs import (
+    CACHE_VERSION,
     Engine,
     JobSpec,
     ResultCache,
@@ -68,6 +69,58 @@ class TestJobSpec:
 
     def test_describe(self):
         assert spec().describe() == "canneal/pthread@16"
+
+    # Exact keys: every user's result cache is addressed by these
+    # digests, so a change that moves one silently invalidates them all.
+    # A deliberate change bumps CACHE_VERSION and re-pins.
+    PINNED_KEYS = {
+        "plain": (
+            {},
+            "ef55e1e3bc8d08682fb85bb92a40896f3a76d33eff623be1db1058a536874f1f",
+        ),
+        "dotted-params": (
+            {
+                "config": "msa-omu-2",
+                "params": {"msa.entries_per_tile": 4, "omu.n_counters": 8},
+            },
+            "66e2b215293c0277436809c1cb43e6e1557cd272b10c508bcc27fa74d8a86905",
+        ),
+        "checkers": (
+            {"config": "msa-omu-2", "checkers": ("mutex", "barrier")},
+            "f7b5ff8b9174382b9d0fbf2321ec6cd12ea7e30b1ee042a974e4042b09773c97",
+        ),
+        "fault-plan": (
+            {"config": "msa-omu-2", "fault_plan": "drop"},
+            "898b53871b85fff96fee90b0237417c4316f4cd43694676c0c50317c80b668d1",
+        ),
+        "microbench": (
+            {
+                "config": "msa-omu-2", "workload": "LockAcquire",
+                "scale": 1.0, "seed": 2015,
+            },
+            "f6cd30357978948ade92a16cfc3828585ab3589c50e2310f27cfa1a4ffd8562d",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_key_values_are_pinned(self, name):
+        from repro.faults.plan import drop_plan
+
+        over, expected = self.PINNED_KEYS[name]
+        if over.get("fault_plan") == "drop":
+            over = {**over, "fault_plan": drop_plan(0.02, seed=3)}
+        assert CACHE_VERSION == 3
+        assert spec(**over).key() == expected
+
+    def test_to_dict_matches_asdict(self):
+        from dataclasses import asdict
+
+        from repro.harness.configs import CONFIG_NAMES, machine_params
+
+        for config in CONFIG_NAMES:
+            params, _ = machine_params(config, n_cores=16, seed=3)
+            params = params.with_overrides({"noc.link_latency": 2})
+            assert params.to_dict() == asdict(params)
 
 
 class TestExecuteSpec:
@@ -155,6 +208,56 @@ class TestEngineSerial:
         jobs = engine.run([spec(workload="flaky", factory=flaky)])
         assert jobs[0].ok and jobs[0].attempts == 2
         assert engine.stats.retried == 1 and engine.stats.failed == 0
+
+
+class TestWarmPath:
+    """A sweep served from the cache reads the cache and nothing else;
+    a miss still goes through the job store."""
+
+    GRID = dict(configs=["pthread"], workloads="canneal", cores=(4,),
+                scale=0.1, seed=7)
+
+    def test_all_hit_sweep_opens_no_store(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        from repro import api
+        from repro.resilience.store import default_store_path
+
+        cold, stats = api.sweep(**self.GRID, cache_dir=tmp_path,
+                                return_stats=True)
+        assert stats.executed == 1
+        default_store_path(tmp_path).unlink()
+        connects = []
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *a, **kw: connects.append(a) or real_connect(*a, **kw),
+        )
+        warm, stats = api.sweep(**self.GRID, cache_dir=tmp_path,
+                                return_stats=True)
+        assert stats.cache_hits == 1 and stats.executed == 0
+        assert connects == []
+        assert not default_store_path(tmp_path).exists()
+        assert [p.result for p in warm] == [p.result for p in cold]
+
+    def test_one_miss_goes_through_the_store(self, tmp_path):
+        engine = Engine(workers=1, cache_dir=tmp_path)
+        assert engine.store is None
+        jobs = engine.run([spec(cores=4, scale=0.1)])
+        assert jobs[0].ok and engine.stats.executed == 1
+        counters = engine.resilience_counters()
+        assert counters["enqueued"] == 1
+        assert counters["leases_granted"] == 1
+        assert counters["done"] == 1
+        assert counters["jobs_done"] == 1
+
+    def test_counters_open_the_store_on_demand(self, tmp_path):
+        Engine(workers=1, cache_dir=tmp_path).run([spec(cores=4, scale=0.1)])
+        engine = Engine(workers=1, cache_dir=tmp_path)
+        engine.run([spec(cores=4, scale=0.1)])
+        assert engine.store is None
+        counters = engine.resilience_counters()
+        assert counters["done"] == 1 and counters["cache_hits"] == 1
 
 
 class TestEngineParallel:

@@ -170,6 +170,110 @@ class TestJobStore:
         store.enqueue("k1")
         assert store.get("k1").status == "pending"
 
+    @staticmethod
+    def assert_counters_match_rows(store):
+        c = store.counters()
+        rows = {s: c.get(f"jobs_{s}", 0)
+                for s in ("pending", "leased", "done", "quarantined")}
+        assert sum(rows.values()) == c["enqueued"]
+        assert rows["done"] + rows["quarantined"] == (
+            c["done"] + c["quarantined"] - c["requeued"]
+        )
+        assert rows["leased"] == (
+            c["leases_granted"] - c["done"] - c["retries"]
+            - c["quarantined"] - c["leases_released"] - c["leases_expired"]
+        )
+
+    def test_counters_agree_with_rows_after_every_transition(self, tmp_path):
+        store, clock = self.make(tmp_path, lease_s=5.0, quarantine_after=2)
+        check = lambda: self.assert_counters_match_rows(store)  # noqa: E731
+        steps = [
+            lambda: store.enqueue("a"),
+            lambda: store.enqueue("b"),
+            lambda: store.enqueue("c"),
+            lambda: store.enqueue("a"),
+            lambda: store.claim("w1", keys=("a",)),
+            lambda: store.heartbeat("a", "w1"),
+            lambda: store.mark_done("a", "w1"),
+            lambda: store.mark_done("a", "w-stale"),
+            lambda: store.claim("w1", keys=("b",)),
+            lambda: store.mark_failed("b", "w1", "boom"),
+            lambda: store.claim("w1", keys=("b",)),
+            lambda: store.mark_failed("b", "w1", "boom again"),
+            lambda: store.enqueue("b"),
+            lambda: store.claim("w2", keys=("b",)),
+            lambda: store.release_owner("w2"),
+            lambda: store.claim("w3", keys=("b",)),
+            lambda: clock.advance(10.0),
+            lambda: store.reclaim_expired(),
+            lambda: store.claim("w4", keys=("c",)),
+            lambda: clock.advance(10.0),
+            lambda: store.claim("w5", keys=("c",)),
+            lambda: store.mark_done("c", "w5"),
+            lambda: store.requeue("c"),
+            lambda: store.claim("w6"),
+        ]
+        for step in steps:
+            step()
+            check()
+        assert store.counters()["leases_expired"] == 2
+
+    def test_transition_and_counter_commit_together(self, tmp_path):
+        store, _ = self.make(tmp_path)
+        store.enqueue("k1")
+        store.claim("w1")
+        real_bump = store._bump
+
+        def failing_bump(name, n=1):
+            if name == "done":
+                raise RuntimeError("crash between row and counter")
+            real_bump(name, n)
+
+        store._bump = failing_bump
+        with pytest.raises(RuntimeError):
+            store.mark_done("k1", "w1")
+        store._bump = real_bump
+        assert store.get("k1").status == "leased"  # rolled back
+        assert store.counters()["done"] == 0
+        assert store.mark_done("k1", "w1")
+        self.assert_counters_match_rows(store)
+
+    def test_keyed_queries_on_a_large_store(self, tmp_path):
+        store, clock = self.make(tmp_path)
+        db = store._db
+        db.execute("BEGIN")
+        db.executemany(
+            "INSERT INTO jobs (key, status, created, updated)"
+            " VALUES (?, 'done', ?, ?)",
+            [(f"done{i:04d}", float(i), float(i)) for i in range(2000)],
+        )
+        db.execute("COMMIT")
+        for key in ("open-b", "open-a", "open-c"):
+            clock.advance(1.0)
+            store.enqueue(key)
+        store.claim("w1", keys=("open-c",))
+        every = store.rows()
+        assert len(every) == 2003
+        keys = ["open-a", "done0007", "missing", "open-c", "done1999",
+                "open-a"] + [f"done{i:04d}" for i in range(0, 2000, 3)]
+        wanted = set(keys)
+        expected = [r for r in every if r.key in wanted]
+        assert store.rows(keys) == expected
+        assert store.statuses(keys) == {r.key: r.status for r in expected}
+        assert store.statuses() == {r.key: r.status for r in every}
+        assert store.open_jobs(keys) == 2
+        assert store.open_jobs() == 3
+        assert store.open_jobs(["done0001", "missing"]) == 0
+        assert store.open_keys(limit=10) == ["open-b", "open-a", "open-c"]
+        assert store.open_keys(limit=2) == ["open-b", "open-a"]
+        claim = store.claim("w2", keys=keys)
+        assert claim.key == "open-a"  # oldest eligible among the keys
+        assert store.claim("w2", keys=[f"done{i:04d}" for i in range(2000)]) \
+            is None
+        assert store.expired_leases() == 0
+        clock.advance(60.0)
+        assert store.expired_leases() == 2
+
     def test_counters_exported_to_registry(self, tmp_path):
         store, _ = self.make(tmp_path)
         store.enqueue("k1")
@@ -179,6 +283,46 @@ class TestJobStore:
         names = {m.name for m in reg.metrics()}
         assert "harness.enqueued" in names
         assert "harness.leases_granted" in names
+
+
+class TestWorkerLoopHeartbeat:
+    def test_heartbeats_renew_the_lease_of_a_long_point(self, tmp_path):
+        """A point running several lease lengths keeps its lease: the
+        beater thread renews it on its own connection, and no other
+        owner can claim the point meanwhile."""
+        from repro.resilience import WorkerLoop
+
+        path = tmp_path / "jobs.sqlite3"
+        store = JobStore(path, lease_s=0.3)
+        rival = JobStore(path, lease_s=0.3)
+        store.enqueue("slow")
+        rival_claims = []
+
+        class SlowLoop(WorkerLoop):
+            def _execute(self, spec):
+                deadline = time.monotonic() + 1.2
+                while time.monotonic() < deadline:
+                    time.sleep(0.1)
+                    rival_claims.append(rival.claim("rival"))
+                return spec
+
+        class NullCache:
+            def put(self, key, spec, result):
+                pass
+
+        loop = SlowLoop(store, NullCache(), keys=["slow"],
+                        specs_by_key={"slow": "payload"})
+        try:
+            assert loop.run_one().key == "slow"
+        finally:
+            rival.close()
+        counters = store.counters()
+        assert counters["heartbeats"] > 0
+        assert counters["leases_expired"] == 0
+        assert counters["stale_completions"] == 0
+        assert store.get("slow").status == "done"
+        assert len(rival_claims) >= 10
+        assert all(claim is None for claim in rival_claims)
 
 
 # ---------------------------------------------------------------------------
