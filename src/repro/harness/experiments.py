@@ -11,14 +11,10 @@ variables) configure the engine.
 Run standalone through the package CLI::
 
     python -m repro fig6 --cores 16 --scale 0.5 --workers 4
-
-(``python -m repro.harness.experiments`` still works and forwards to
-the same CLI.)
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -594,27 +590,3 @@ def export_fig6_csv(grid: SpeedupGrid, path: str) -> None:
                     f"{coverage:.4f}" if coverage is not None else "",
                 ]
             )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Deprecated alias: the CLI lives in :mod:`repro.__main__`.
-
-    Kept so old ``python -m repro.harness.experiments`` invocations and
-    scripts importing :func:`main` keep working, but new code should
-    call ``python -m repro`` / :func:`repro.__main__.main` directly.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.harness.experiments.main is deprecated; use "
-        "`python -m repro` (repro.__main__.main) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.__main__ import main as cli_main
-
-    return cli_main(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -794,6 +794,7 @@ class Engine:
         specs_by_key: Dict[str, JobSpec] = {}
         keys: List[str] = []
         picklable: Dict[str, bool] = {}
+        rows = []
         for _index, spec, key in pending:
             specs_by_key[key] = spec
             keys.append(key)
@@ -802,8 +803,9 @@ class Engine:
             except Exception:
                 blob = None
             picklable[key] = blob is not None
-            store.enqueue(key, spec.describe(), blob)
-        before = store.counters()
+            rows.append((key, spec.describe(), blob))
+        store.enqueue_many(rows)
+        before = store.lifetime_counters()
         recorded = set()
 
         def on_terminal(key, row):
@@ -864,7 +866,7 @@ class Engine:
         else:
             in_process_loop(keys).drain()
 
-        after = store.counters()
+        after = store.lifetime_counters()
         self.stats.retried += (
             (after["retries"] - before["retries"])
             + (after["leases_expired"] - before["leases_expired"])

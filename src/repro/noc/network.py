@@ -50,17 +50,6 @@ class Network:
         self._messages_delivered = self.stats.counter("messages_delivered")
         self._latency = self.stats.histogram("latency")
         self._sent_by_prefix: Dict[str, Counter] = {}
-
-        # Horizon-sharding validation (see repro.sim.shard): when the
-        # kernel carries tile groups, every delivery is classified and
-        # cross-group arrivals are checked against the conservative
-        # lookahead.  Plain ints, not StatSet counters, so the golden
-        # counter dictionaries stay identical across kernel modes.
-        groups = getattr(sim, "groups", None)
-        self._group_of = groups.group_of if groups is not None else None
-        self._lookahead = getattr(sim, "lookahead", 0)
-        self.cross_group_delivered = 0
-        self.lookahead_violations = 0
         self._injector = None
         self._transport = None
         # The callback handed to the fabric as the final-hop target.
@@ -199,13 +188,7 @@ class Network:
                 f"{message.dst} (message: {message})"
             )
         self._messages_delivered.value += 1
-        latency = self.sim.now - message.injected_at
-        self._latency.add(latency)
-        group_of = self._group_of
-        if group_of is not None and group_of[message.src] != group_of[message.dst]:
-            self.cross_group_delivered += 1
-            if latency < self._lookahead:
-                self.lookahead_violations += 1
+        self._latency.add(self.sim.now - message.injected_at)
         if self.probe is not None:
             self.probe.emit(
                 "noc_deliver",

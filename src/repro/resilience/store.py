@@ -234,7 +234,18 @@ class JobStore:
         spec_blob: Optional[bytes] = None,
         requeue_failed: bool = True,
     ) -> str:
-        """Insert a job row if absent; returns the row's status after.
+        """Insert a job row if absent; returns the row's status after
+        (a one-item :meth:`enqueue_many`)."""
+        return self.enqueue_many([(key, describe, spec_blob)], requeue_failed)[0]
+
+    def enqueue_many(
+        self,
+        items: Iterable[Sequence],
+        requeue_failed: bool = True,
+    ) -> List[str]:
+        """Insert ``(key, describe, spec_blob)`` job rows that are absent,
+        all in one transaction; returns each row's status after, in
+        order.
 
         ``requeue_failed`` resets an existing ``quarantined`` row back to
         ``pending`` (an engine run that *asks* for a quarantined point is
@@ -242,38 +253,43 @@ class JobStore:
         rows are left untouched.
         """
         now = self.clock()
+        statuses: List[str] = []
         with self._transaction() as db:
-            row = db.execute(
-                "SELECT status FROM jobs WHERE key=?", (key,)
-            ).fetchone()
-            if row is None:
-                db.execute(
-                    "INSERT INTO jobs (key, describe, spec_blob, status,"
-                    " created, updated) VALUES (?,?,?, 'pending', ?, ?)",
-                    (key, describe, spec_blob, now, now),
-                )
-                self._bump("enqueued")
-                return "pending"
-            status = row[0]
-            if status == "quarantined" and requeue_failed:
-                # A fresh retry budget comes with the explicit
-                # re-enqueue; lifetime attempt history stays in the
-                # counters.
-                db.execute(
-                    "UPDATE jobs SET status='pending', not_before=0,"
-                    " attempts=0, error=NULL,"
-                    " spec_blob=COALESCE(?, spec_blob),"
-                    " updated=? WHERE key=?",
-                    (spec_blob, now, key),
-                )
-                self._bump("requeued")
-                return "pending"
-            if spec_blob is not None:
-                db.execute(
-                    "UPDATE jobs SET spec_blob=?, updated=? WHERE key=?",
-                    (spec_blob, now, key),
-                )
-            return status
+            for key, describe, spec_blob in items:
+                row = db.execute(
+                    "SELECT status FROM jobs WHERE key=?", (key,)
+                ).fetchone()
+                if row is None:
+                    db.execute(
+                        "INSERT INTO jobs (key, describe, spec_blob, status,"
+                        " created, updated) VALUES (?,?,?, 'pending', ?, ?)",
+                        (key, describe, spec_blob, now, now),
+                    )
+                    self._bump("enqueued")
+                    statuses.append("pending")
+                    continue
+                status = row[0]
+                if status == "quarantined" and requeue_failed:
+                    # A fresh retry budget comes with the explicit
+                    # re-enqueue; lifetime attempt history stays in the
+                    # counters.
+                    db.execute(
+                        "UPDATE jobs SET status='pending', not_before=0,"
+                        " attempts=0, error=NULL,"
+                        " spec_blob=COALESCE(?, spec_blob),"
+                        " updated=? WHERE key=?",
+                        (spec_blob, now, key),
+                    )
+                    self._bump("requeued")
+                    statuses.append("pending")
+                    continue
+                if spec_blob is not None:
+                    db.execute(
+                        "UPDATE jobs SET spec_blob=?, updated=? WHERE key=?",
+                        (spec_blob, now, key),
+                    )
+                statuses.append(status)
+        return statuses
 
     def requeue(self, key: str) -> bool:
         """Force a terminal row (``done`` or ``quarantined``) back to
@@ -575,11 +591,17 @@ class JobStore:
             (self.clock(),),
         ).fetchone()[0]
 
-    def counters(self) -> Dict[str, int]:
-        """Lifetime transition counters plus current per-status totals."""
+    def lifetime_counters(self) -> Dict[str, int]:
+        """Lifetime transition counters only: one read of the small
+        ``counters`` table, whatever the size of the jobs table."""
         out = {name: 0 for name in COUNTER_NAMES}
         for name, value in self._db.execute("SELECT name, value FROM counters"):
             out[name] = value
+        return out
+
+    def counters(self) -> Dict[str, int]:
+        """Lifetime transition counters plus current per-status totals."""
+        out = self.lifetime_counters()
         for status, count in self._db.execute(
             "SELECT status, COUNT(*) FROM jobs GROUP BY status"
         ):

@@ -235,7 +235,7 @@ class Watchdog:
 
     # -- the run loop --------------------------------------------------
     def run(self, machine) -> int:
-        """Drain the machine's event heap under this watchdog.
+        """Drain the machine's event calendar under this watchdog.
 
         Event order is identical to ``machine.run(max_events=...)`` --
         the heap is drained in fixed-size chunks with only bookkeeping

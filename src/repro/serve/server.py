@@ -481,10 +481,16 @@ class Server:
         specs = wire.expand_sweep_request(data)
         store, cache = self._front, self._front_cache
         keys: List[str] = []
+        rows: Dict[str, Tuple] = {}
         created_jobs = 0
         for spec in specs:
             key = spec.key()
             keys.append(key)
+            if key in rows:
+                # Repeated within this request: its row is already on
+                # the way into the store.
+                self.counters["jobs_deduped"] += 1
+                continue
             row = store.get(key)
             if row is None:
                 created_jobs += 1
@@ -498,7 +504,8 @@ class Server:
                 self.counters["jobs_requeued"] += 1
             else:
                 self.counters["jobs_deduped"] += 1
-            store.enqueue(key, spec.describe(), _spec_blob(spec))
+            rows[key] = (key, spec.describe(), _spec_blob(spec))
+        store.enqueue_many(rows.values())
         sid = wire.sweep_id(keys)
         record = wire.sweep_record(sid, specs, keys)
         path = self.sweeps_dir / f"{sid}.json"

@@ -2,7 +2,7 @@
 
 The whole machine model is built on three primitives:
 
-* :class:`~repro.sim.kernel.Simulator` -- the event heap and clock,
+* :class:`~repro.sim.kernel.Simulator` -- the event calendar and clock,
 * :class:`~repro.sim.kernel.Future` -- a one-shot completion token that
   hardware models fulfil and coroutine processes wait on,
 * :class:`~repro.sim.kernel.Process` -- a generator-based coroutine

@@ -1,4 +1,4 @@
-"""Event heap, simulation clock, futures, and coroutine processes.
+"""Event calendar, simulation clock, futures, and coroutine processes.
 
 Design notes
 ------------
@@ -11,9 +11,35 @@ The machine model mixes two styles:
   clock) or a :class:`Future` (block until some hardware event fulfils
   it).  Sub-routines compose with ``yield from``.
 
-Events at the same timestamp fire in scheduling order (a monotonically
-increasing sequence number breaks ties), which makes runs bit-for-bit
-deterministic for a given seed and configuration.
+The determinism total order
+---------------------------
+Events fire in ``(time, seq)`` order, where ``seq`` is the global
+scheduling sequence: events at the same timestamp fire in the order
+they were scheduled.  That makes runs bit-for-bit deterministic for a
+given seed and configuration, and it is the order the golden tables
+(``tests/test_golden_determinism.py``) pin.
+
+:class:`Simulator` realises that order with a *calendar of per-cycle
+buckets* rather than a heap of events.  Events cluster heavily on
+shared timestamps (about 5 events per distinct cycle at 64 cores and
+12 at 256 cores: compute-phase completions, same-cycle L1 hits and NoC
+hop batches land together), so a per-event heap would pay most of its
+``O(log n)`` comparison chains for nothing.  Instead:
+
+* :meth:`Simulator.schedule` appends to the bucket of the target cycle
+  -- a dict hit and a list append -- and pushes the cycle number onto
+  a small int-heap only when the bucket is new;
+* the drain loop pops one *timestamp*, not one event, and runs the
+  whole bucket in a tight loop, so the heap cost is paid once per
+  distinct cycle.
+
+No explicit ``seq`` is stored: buckets are appended in scheduling order
+and drained front to back, so position in the bucket *is* ``seq``
+within a cycle.  An event scheduled for the current cycle while its
+bucket drains lands in a fresh bucket under the same cycle, which runs
+next -- it carries a newer ``seq`` than everything in the frozen bucket.
+``tests/test_sim_calendar.py`` checks the fired order against a
+``(time, seq)`` sort on random programs.
 
 Hot-path conventions (this module carries every simulated cycle; see
 docs/PERF.md for the measured effect and the determinism contract):
@@ -201,13 +227,17 @@ class Process:
 
 
 class Simulator:
-    """The event heap and clock."""
+    """The event calendar and clock: per-cycle buckets drained as
+    batches (see the module docstring for the total order)."""
 
     def __init__(self):
         self.now: int = 0
-        self._heap: List = []
-        self._seq = 0
+        # Cycle -> [(callback, arg), ...] in scheduling order, plus a
+        # heap of the cycles that currently own a bucket.
+        self._buckets: Dict[int, List] = {}
+        self._times: List[int] = []
         self._events_processed = 0
+        self._buckets_drained = 0
         self._processes: Dict[int, Process] = {}
 
     def schedule(
@@ -220,18 +250,13 @@ class Simulator:
         method and its operand instead of wrapping them in a lambda."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self.now + delay, seq, callback, arg))
-
-    def _push(self, when: int, callback: Callable, arg: Any) -> None:
-        """Absolute-time scheduling fast path for the NoC hop chain
-        (:meth:`repro.noc.router.LinkFabric._cross`): same seq
-        discipline and ordering as :meth:`schedule`, no delay check
-        (``when >= now`` holds by construction there).  Overridden by
-        :class:`repro.sim.shard.ShardedSimulator` -- this indirection is
-        what lets one router hot path drive either kernel."""
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (when, seq, callback, arg))
+        when = self.now + delay
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(callback, arg)]
+            heappush(self._times, when)
+        else:
+            bucket.append((callback, arg))
 
     def future(self) -> Future:
         return Future(self)
@@ -242,70 +267,174 @@ class Simulator:
         self._processes[id(proc)] = proc
         return proc.start(delay)
 
+    # The drain loops *pop* each cycle's bucket out of the table before
+    # executing it, so the hot path pays one dict operation per bucket
+    # (not a getitem plus a delitem) and iterates a frozen list.  A
+    # callback that schedules more work for the *current* cycle simply
+    # creates a fresh bucket under the same timestamp (re-pushing it
+    # onto the time-heap), which the outer loop drains next -- those
+    # events carry the newest sequence positions, so running them after
+    # the frozen bucket is exactly the (time, seq) order.
+
+    def _requeue(self, when, remainder) -> None:
+        """Put an unexecuted bucket remainder back under ``when`` (cold
+        path: a raising callback or a mid-bucket chunk boundary).  Any
+        fresh bucket a callback created at the same cycle holds newer
+        events, so the remainder is prepended to it."""
+        if not remainder:
+            return
+        fresh = self._buckets.get(when)
+        if fresh is not None:
+            # ``when`` is already on the time-heap (pushed when the
+            # fresh bucket was created).
+            remainder.extend(fresh)
+        else:
+            heappush(self._times, when)
+        self._buckets[when] = remainder
+
     def run(
         self,
         until: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Drain the event heap.
+        """Drain the calendar.
 
         Returns the final simulation time.  ``until`` bounds the clock;
         ``max_events`` bounds work (guards against livelock in tests) and
         applies per invocation, not cumulatively across ``run()`` calls.
+        Exactly ``max_events`` events run before the error: the
+        offending event stays queued and ``events_processed`` counts
+        only executed events.
         """
-        heap = self._heap
+        buckets = self._buckets
+        times = self._times
+        pop_time = heappop
+        pop_bucket = buckets.pop
         no_arg = _NO_ARG
         count = 0
+        drained = 0
         try:
             if until is None and max_events is None:
-                # Unbounded drain: no per-event limit checks.
-                while heap:
-                    when, _seq, callback, arg = heappop(heap)
+                # Unbounded drain: one int pop per distinct cycle, then
+                # the whole bucket runs in a tight loop.
+                while times:
+                    when = pop_time(times)
                     self.now = when
-                    count += 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
+                    bucket = pop_bucket(when)
+                    start = count
+                    try:
+                        for callback, arg in bucket:
+                            count += 1
+                            if arg is no_arg:
+                                callback()
+                            else:
+                                callback(arg)
+                    except BaseException:
+                        del bucket[: count - start]
+                        self._requeue(when, bucket)
+                        raise
+                    drained += 1
             elif until is None:
-                # Event-budget-only drain (the workload runner's guard
-                # rail): one integer compare per event, no clock peek.
-                while heap:
+                # Event-budget-only drain.  Whole buckets that fit the
+                # remaining budget (the overwhelmingly common case: the
+                # budget is a livelock guard rail, not a pacing device)
+                # drain with no per-event budget compare; only a bucket
+                # that straddles the boundary takes the checked loop.
+                # The offending event stays queued either way.
+                while times:
                     if count == max_events:
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"at cycle {self.now}"
                         )
-                    when, _seq, callback, arg = heappop(heap)
+                    when = pop_time(times)
                     self.now = when
-                    count += 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-            else:
-                while heap:
-                    when = heap[0][0]
-                    if until is not None and when > until:
+                    bucket = pop_bucket(when)
+                    start = count
+                    try:
+                        if count + len(bucket) <= max_events:
+                            for callback, arg in bucket:
+                                count += 1
+                                if arg is no_arg:
+                                    callback()
+                                else:
+                                    callback(arg)
+                        else:
+                            for callback, arg in bucket:
+                                if count == max_events:
+                                    raise SimulationError(
+                                        f"exceeded max_events={max_events} "
+                                        f"at cycle {self.now}"
+                                    )
+                                count += 1
+                                if arg is no_arg:
+                                    callback()
+                                else:
+                                    callback(arg)
+                    except BaseException:
+                        del bucket[: count - start]
+                        self._requeue(when, bucket)
+                        raise
+                    drained += 1
+            elif max_events is None:
+                # Clock-bounded drain, no event budget: peek before the
+                # pop so the first over-horizon bucket stays queued.
+                while times:
+                    when = times[0]
+                    if when > until:
                         self.now = until
                         return until
-                    if max_events is not None and count >= max_events:
-                        # Checked before the pop so exactly max_events
-                        # events run; the offending event stays queued and
-                        # events_processed counts only executed events.
+                    pop_time(times)
+                    self.now = when
+                    bucket = pop_bucket(when)
+                    start = count
+                    try:
+                        for callback, arg in bucket:
+                            count += 1
+                            if arg is no_arg:
+                                callback()
+                            else:
+                                callback(arg)
+                    except BaseException:
+                        del bucket[: count - start]
+                        self._requeue(when, bucket)
+                        raise
+                    drained += 1
+            else:
+                while times:
+                    when = times[0]
+                    if when > until:
+                        self.now = until
+                        return until
+                    if count >= max_events:
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"at cycle {self.now}"
                         )
-                    _when, _seq, callback, arg = heappop(heap)
-                    self.now = _when
-                    count += 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
+                    pop_time(times)
+                    self.now = when
+                    bucket = pop_bucket(when)
+                    start = count
+                    try:
+                        for callback, arg in bucket:
+                            if count >= max_events:
+                                raise SimulationError(
+                                    f"exceeded max_events={max_events} "
+                                    f"at cycle {self.now}"
+                                )
+                            count += 1
+                            if arg is no_arg:
+                                callback()
+                            else:
+                                callback(arg)
+                    except BaseException:
+                        del bucket[: count - start]
+                        self._requeue(when, bucket)
+                        raise
+                    drained += 1
         finally:
             self._events_processed += count
+            self._buckets_drained += drained
         return self.now
 
     def run_chunk(self, max_events: int) -> int:
@@ -313,24 +442,56 @@ class Simulator:
 
         Unlike :meth:`run`, exhausting the budget is *not* an error --
         the caller (the :class:`repro.resilience.watchdog.Watchdog`)
-        owns the policy.  Events pop in exactly the order :meth:`run`
-        would pop them, so chunked and monolithic drains of the same
-        heap are bit-identical.
+        owns the policy.  A chunk boundary may fall *mid-bucket*: the
+        executed prefix is trimmed and the cycle re-queued, so
+        consecutive chunks replay the exact monolithic drain order
+        (pinned by ``tests/test_sim_calendar.py``).
         """
-        heap = self._heap
+        buckets = self._buckets
+        times = self._times
         no_arg = _NO_ARG
         count = 0
+        drained = 0
         try:
-            while heap and count < max_events:
-                when, _seq, callback, arg = heappop(heap)
+            while times and count < max_events:
+                when = heappop(times)
                 self.now = when
-                count += 1
-                if arg is no_arg:
-                    callback()
-                else:
-                    callback(arg)
+                bucket = buckets.pop(when)
+                start = count
+                try:
+                    if count + len(bucket) <= max_events:
+                        # Whole bucket fits the chunk: no per-event
+                        # budget compare (same trick as :meth:`run`).
+                        for callback, arg in bucket:
+                            count += 1
+                            if arg is no_arg:
+                                callback()
+                            else:
+                                callback(arg)
+                        drained += 1
+                        continue
+                    for callback, arg in bucket:
+                        if count == max_events:
+                            break
+                        count += 1
+                        if arg is no_arg:
+                            callback()
+                        else:
+                            callback(arg)
+                    else:
+                        drained += 1
+                        continue
+                except BaseException:
+                    del bucket[: count - start]
+                    self._requeue(when, bucket)
+                    raise
+                # Budget exhausted mid-bucket: keep the remainder, in
+                # order, under the same cycle.
+                del bucket[: count - start]
+                self._requeue(when, bucket)
         finally:
             self._events_processed += count
+            self._buckets_drained += drained
         return count
 
     @property
@@ -339,7 +500,14 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._heap)
+        return sum(map(len, self._buckets.values()))
+
+    @property
+    def buckets_drained(self) -> int:
+        """Distinct (cycle) batches executed so far; the ratio
+        ``events_processed / buckets_drained`` is the measured batch
+        density (how many events share one time-heap operation)."""
+        return self._buckets_drained
 
     def _release(self, proc: Process) -> None:
         """Drop a finished process so long runs don't accumulate them."""

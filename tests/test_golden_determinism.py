@@ -29,15 +29,22 @@ import pytest
 
 from repro.harness.configs import build_machine
 from repro.harness.runner import run_workload
+from repro.resilience.watchdog import Watchdog
 from repro.workloads.kernels import KERNELS
 
 CONFIGS = ("pthread", "mcs-tour", "msa0", "msa-omu-2", "ideal")
 
-#: Both simulation kernels are pinned against the SAME golden table --
-#: the sharded calendar must be indistinguishable from the legacy heap
-#: in every simulated observable (the bit-identical contract of
-#: repro.sim.shard).
-MODES = ("legacy", "sharded")
+#: Both ways of draining the event calendar are pinned against the SAME
+#: golden table.  ``legacy`` drains a run in one ``Simulator.run`` call;
+#: ``sharded`` cuts the same run into small ``run_chunk`` slices (how the
+#: watchdog drives supervised runs), so every slice boundary lands
+#: mid-bucket somewhere.  The slicing must be invisible in every
+#: simulated observable.
+DRAINS = ("legacy", "sharded")
+
+#: Slice size of the ``sharded`` drain: small and prime, so slice
+#: boundaries fall at many different points inside same-cycle buckets.
+CHUNK_EVENTS = 257
 
 # Workload name -> (kernel, cores, scale).
 WORKLOADS = {
@@ -46,11 +53,16 @@ WORKLOADS = {
 }
 
 
-def snapshot(config: str, workload: str, sim_mode: str = None) -> dict:
+def snapshot(config: str, workload: str, drain: str = "legacy") -> dict:
     """One run's complete observable outcome, as a plain dict."""
     kernel, cores, scale = WORKLOADS[workload]
-    machine = build_machine(config, n_cores=cores, seed=2015, sim_mode=sim_mode)
-    result = run_workload(machine, KERNELS[kernel](cores, scale))
+    machine = build_machine(config, n_cores=cores, seed=2015)
+    watchdog = None
+    if drain == "sharded":
+        watchdog = Watchdog(max_events=50_000_000, chunk_events=CHUNK_EVENTS)
+    result = run_workload(
+        machine, KERNELS[kernel](cores, scale), watchdog=watchdog
+    )
     latency = machine.network.stats.histogram("latency")
     return {
         "cycles": result.cycles,
@@ -299,21 +311,20 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("drain", DRAINS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("config", CONFIGS)
-def test_golden_run_is_bit_identical(config, workload, mode):
-    got = snapshot(config, workload, sim_mode=mode)
+def test_golden_run_is_bit_identical(config, workload, drain):
+    got = snapshot(config, workload, drain=drain)
     want = GOLDEN[workload][config]
     assert got == want, (
-        f"{config}/{workload} [{mode} kernel] diverged from the golden "
+        f"{config}/{workload} [{drain} drain] diverged from the golden "
         f"run:\n"
         f"got:  {json.dumps(got, sort_keys=True)}\n"
         f"want: {json.dumps(want, sort_keys=True)}\n"
         "If this PR intentionally changes the timing model, regenerate "
-        "the table (see module docstring); a hot-path optimization -- "
-        "including anything in the sharded kernel -- must never trip "
-        "this, and both kernel modes must match the same table."
+        "the table (see module docstring); a hot-path optimization "
+        "must never trip this, and both drains must match the same table."
     )
 
 

@@ -251,6 +251,58 @@ class TestWarmPath:
         assert counters["done"] == 1
         assert counters["jobs_done"] == 1
 
+    def test_cold_sweep_enqueues_in_one_transaction(self, tmp_path, monkeypatch):
+        import sys
+
+        from repro.resilience.store import JobStore
+
+        callers = []
+        real = JobStore._transaction
+
+        def counting(self):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self)
+
+        monkeypatch.setattr(JobStore, "_transaction", counting)
+        engine = Engine(workers=1, cache_dir=tmp_path)
+        jobs = engine.run(
+            [spec(cores=4, scale=0.1, workload=w)
+             for w in ("canneal", "swaptions", "streamcluster")]
+        )
+        assert all(j.ok for j in jobs) and engine.stats.executed == 3
+        assert callers.count("enqueue_many") == 1
+        assert "enqueue" not in callers
+        assert engine.resilience_counters()["enqueued"] == 3
+
+    def test_run_reads_lifetime_counters_only(self, tmp_path, monkeypatch):
+        from repro.resilience.store import JobStore
+
+        statements = []
+        real_open = JobStore._open
+
+        def traced_open(self):
+            db = real_open(self)
+            db.set_trace_callback(statements.append)
+            return db
+
+        monkeypatch.setattr(JobStore, "_open", traced_open)
+        marker = tmp_path / "tried"
+
+        def flaky(n, scale=1.0):
+            if not marker.exists():
+                marker.write_text("x")
+                raise RuntimeError("first attempt dies")
+            return KERNELS["canneal"](n, scale)
+
+        engine = Engine(workers=1, cache_dir=tmp_path / "cache")
+        jobs = engine.run(
+            [spec(cores=4, scale=0.1, workload="flaky", factory=flaky)]
+        )
+        assert jobs[0].ok and jobs[0].attempts == 2
+        assert engine.stats.retried == 1 and engine.stats.failed == 0
+        assert statements, "the run went through the job store"
+        assert not [s for s in statements if "GROUP BY" in s.upper()]
+
     def test_counters_open_the_store_on_demand(self, tmp_path):
         Engine(workers=1, cache_dir=tmp_path).run([spec(cores=4, scale=0.1)])
         engine = Engine(workers=1, cache_dir=tmp_path)

@@ -88,6 +88,24 @@ class TestJobStore:
         assert store.enqueue("k1", "point") == "pending"
         assert store.counters()["enqueued"] == 1
 
+    def test_enqueue_many_reports_each_row(self, tmp_path):
+        store, _ = self.make(tmp_path, quarantine_after=1)
+        store.enqueue("old")
+        store.claim_key("old", "w1")
+        assert store.mark_failed("old", "w1", "err") == "quarantined"
+        store.enqueue("done")
+        store.claim_key("done", "w1")
+        store.mark_done("done", "w1")
+        rows = [("new", "a", b"x"), ("old", "b", None), ("done", "c", None)]
+        assert store.enqueue_many(rows) == ["pending", "pending", "done"]
+        counters = store.counters()
+        assert counters["enqueued"] == 3 and counters["requeued"] == 1
+        assert counters["jobs_pending"] == 2 and counters["jobs_done"] == 1
+        lifetime = store.lifetime_counters()
+        assert lifetime == {
+            k: v for k, v in counters.items() if not k.startswith("jobs_")
+        }
+
     def test_expired_lease_is_reclaimed(self, tmp_path):
         store, clock = self.make(tmp_path, lease_s=5.0)
         store.enqueue("k1")
